@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import as_bloch, cq_state, qubit_density, reduced_qubit
+from .encoding import as_bloch, cq_state, qubit_density
 from .linalg import ZERO_EIG, density_spectrum, partial_trace, shannon_entropy, vn_entropy
 from .optimize import refine_on_sphere, sphere_grid, sphere_point
 from .witness import unit_direction
@@ -36,14 +36,14 @@ from .witness import unit_direction
 class OptimizerSettings:
     """Controls for the measurement-sphere minimisation.
 
-    The default grid has polar step pi/180 and azimuth step pi/45, which
-    places the in-plane minimisers of planar encodings (polar pi/4 and
-    3pi/4 at azimuth 0 or pi) exactly on the lattice.
+    The grid covers the upper hemisphere. The default has polar step
+    pi/180 and azimuth step pi/45, which places the in-plane minimisers of
+    planar encodings (polar pi/4 at azimuth 0 or pi) exactly on the lattice.
     """
 
-    polar_points: int = 181    # over [0, pi], poles included
+    polar_points: int = 91     # over [0, pi/2], pole and equator included
     azimuth_points: int = 91   # over [0, 2pi]
-    refine_tol: float = 1e-9   # terminal bracket width, radians
+    refine_tol: float = 1e-9   # terminal compass step, radians
     max_refine_evals: int = 10_000
 
 
@@ -150,8 +150,14 @@ def conditional_entropy_grid(bloch: np.ndarray, dirs: np.ndarray) -> np.ndarray:
 
 
 def _entropy_offset(bloch: np.ndarray) -> float:
-    """S(qubit marginal) - S(joint), the direction-independent part."""
-    return vn_entropy(reduced_qubit(bloch)) - vn_entropy(cq_state(bloch))
+    """S(qubit marginal) - S(joint), the direction-independent part.
+
+    For pure encodings the joint spectrum is {1/4 x4, 0 x4}, so S(joint)
+    is exactly 2 bits, and the qubit marginal has eigenvalues
+    (1 +- |rbar|)/2 with rbar the mean Bloch vector.
+    """
+    p = 0.5 * (1.0 + np.linalg.norm(bloch.mean(axis=0)))
+    return float(-_xlog2x(np.array([p, 1.0 - p])).sum()) - 2.0
 
 
 def discord_pre_opt(enc, a) -> float:
@@ -163,24 +169,20 @@ def discord_pre_opt(enc, a) -> float:
 def quantum_discord(enc, settings: OptimizerSettings | None = None):
     """Quantum discord and the minimising measurement direction.
 
-    Scans a polar-azimuth grid (ties resolve to the smallest angle pair in
-    lexicographic order), then polishes the best point with coordinate-wise
-    golden-section refinement. Returns (value, unit direction).
+    The conditional entropy is even in the direction, H(a) = H(-a), since
+    the two outcomes swap, so only the upper hemisphere is scanned (ties
+    resolve to the smallest angle pair in lexicographic order). The best
+    grid point is then polished by compass search. Returns (value, unit
+    direction).
     """
     opts = settings or OptimizerSettings()
     bloch = as_bloch(enc)
-    offset = _entropy_offset(bloch)
-    thetas = np.linspace(0.0, np.pi, opts.polar_points)
+    thetas = np.linspace(0.0, np.pi / 2.0, opts.polar_points)
     phis = np.linspace(0.0, 2.0 * np.pi, opts.azimuth_points)
     ent = conditional_entropy_grid(bloch, sphere_grid(thetas, phis))
-    k = int(np.argmin(ent))
-    i, j = divmod(k, len(phis))
-
-    def objective(theta, phi):
-        return float(conditional_entropy_grid(bloch, sphere_point(theta, phi)[None, :])[0])
-
+    i, j = divmod(int(np.argmin(ent)), len(phis))
     theta, phi, cond, _ = refine_on_sphere(
-        objective,
+        lambda t, p: conditional_entropy_grid(bloch, sphere_point(t, p)),
         thetas[i],
         phis[j],
         dtheta=thetas[1] - thetas[0] if len(thetas) > 1 else np.pi / 2,
@@ -188,11 +190,7 @@ def quantum_discord(enc, settings: OptimizerSettings | None = None):
         tol=opts.refine_tol,
         max_evals=opts.max_refine_evals,
     )
-    # Refinement assumes a locally unimodal objective; keep the grid point
-    # if it somehow did not improve on it.
-    if cond <= float(ent[k]):
-        return offset + cond, sphere_point(theta, phi)
-    return offset + float(ent[k]), sphere_point(thetas[i], phis[j])
+    return _entropy_offset(bloch) + cond, sphere_point(theta, phi)
 
 
 def mutual_information(enc) -> float:

@@ -110,6 +110,8 @@ def as_bloch(enc) -> np.ndarray:
     b = np.asarray(enc, dtype=float)
     if b.shape != (4, 3):
         raise ValueError(f"expected an EncodingSet or a (4, 3) array, got shape {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("Bloch vectors must be finite")
     norms = np.linalg.norm(b, axis=1)
     if np.abs(norms - 1.0).max() > UNIT_NORM_TOL:
         raise ValueError("Bloch vectors must have unit norm")

@@ -1,48 +1,30 @@
-"""Derivative-free search helpers on intervals and the unit sphere.
+"""Derivative-free search helpers on the unit sphere.
 
-Golden-section search is used instead of gradient methods because the
-objectives here have absolute-value kinks at spectrum degeneracies. All
-routines are deterministic.
+The sphere refinement is a compass (pattern) search rather than a
+gradient method because the objectives here have absolute-value kinks at
+spectrum degeneracies, where gradients are undefined and line searches
+along one angle stall. Each step scores a whole stencil of directions in
+one vectorised objective call. All routines are deterministic.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# The eight neighbours of the centre of a 3x3 pattern, in units of the
+# current (theta, phi) steps; order fixes the tie-break between them.
+COMPASS = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j], dtype=float)
 
 
-def golden_section_min(f, lo: float, hi: float, tol: float):
-    """Golden-section minimum of ``f`` on [lo, hi].
+def sphere_point(theta, phi) -> np.ndarray:
+    """Unit vector at polar angle ``theta`` (from +z) and azimuth ``phi``.
 
-    Returns (x, f(x), evaluations). The bracket is shrunk until its width
-    drops below ``tol``; ``f`` is assumed unimodal on the bracket, and on a
-    flat stretch any interior point is an acceptable answer.
+    The angles broadcast against each other; the result has their shape
+    plus a trailing axis of length 3.
     """
-    a, b = float(lo), float(hi)
-    c = b - INV_GOLDEN * (b - a)
-    d = a + INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    evals = 2
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - INV_GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + INV_GOLDEN * (b - a)
-            fd = f(d)
-        evals += 1
-    if fc < fd:
-        return c, fc, evals
-    return d, fd, evals
-
-
-def sphere_point(theta: float, phi: float) -> np.ndarray:
-    """Unit vector at polar angle ``theta`` (from +z) and azimuth ``phi``."""
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
     st = np.sin(theta)
-    return np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
+    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 
 
 def sphere_grid(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
@@ -52,42 +34,42 @@ def sphere_grid(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     first occurrence of an extremum is the lexicographically smallest
     angle pair.
     """
-    t = np.asarray(thetas, dtype=float)[:, None]
-    p = np.asarray(phis, dtype=float)[None, :]
-    st = np.sin(t) * np.ones_like(p)
-    grid = np.stack(
-        [st * np.cos(p), st * np.sin(p), np.cos(t) * np.ones_like(p)], axis=-1
-    )
-    return grid.reshape(-1, 3)
+    return sphere_point(np.asarray(thetas)[:, None], np.asarray(phis)[None, :]).reshape(-1, 3)
 
 
 def refine_on_sphere(f, theta, phi, dtheta, dphi, tol, max_evals):
-    """Coordinate-wise golden-section refinement of ``f(theta, phi)``.
+    """Compass-search refinement of ``f(thetas, phis)`` from a grid point.
 
-    Starting from a grid point, alternately line-searches each angle over
-    a bracket of the given half-width, halving the brackets each cycle
-    until both drop below ``tol``. Angles are left unclamped; the sphere
-    map is periodic and smooth, so out-of-range angles are harmless.
+    ``f`` takes equal-length arrays of polar and azimuth angles and
+    returns one value per pair. Each iteration scores the eight stencil
+    points (theta +- dtheta, phi +- dphi) in one call and moves to the
+    best of them if it beats the current value; otherwise both steps are
+    halved. Stops when both steps are at most ``tol``. Angles are left
+    unclamped; the sphere map is periodic and smooth, so out-of-range
+    angles are harmless.
 
-    Returns (theta, phi, value, evaluations). Raises RuntimeError if the
-    evaluation budget is exhausted before convergence, which signals a
-    pathological objective.
+    Returns (theta, phi, value, evaluations), where ``value`` is the
+    smallest objective value seen, never above the start value. Raises
+    RuntimeError if the evaluation budget is exhausted before
+    convergence, which signals a pathological objective.
     """
-    best = f(theta, phi)
+    theta, phi = float(theta), float(phi)
+    best = float(f(np.array([theta]), np.array([phi]))[0])
     evals = 1
     ht, hp = float(dtheta), float(dphi)
     while ht > tol or hp > tol:
-        theta, best, n1 = golden_section_min(
-            lambda t: f(t, phi), theta - ht, theta + ht, tol
-        )
-        phi, best, n2 = golden_section_min(
-            lambda p: f(theta, p), phi - hp, phi + hp, tol
-        )
-        evals += n1 + n2
+        thetas = theta + ht * COMPASS[:, 0]
+        phis = phi + hp * COMPASS[:, 1]
+        vals = f(thetas, phis)
+        evals += len(COMPASS)
         if evals > max_evals:
             raise RuntimeError(
                 f"sphere refinement did not converge within {max_evals} evaluations"
             )
-        ht *= 0.5
-        hp *= 0.5
+        k = int(np.argmin(vals))
+        if vals[k] < best:
+            theta, phi, best = float(thetas[k]), float(phis[k]), float(vals[k])
+        else:
+            ht *= 0.5
+            hp *= 0.5
     return theta, phi, best, evals

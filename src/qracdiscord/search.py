@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discord import OptimizerSettings, conditional_entropy_grid, quantum_discord
-from .encoding import as_bloch, cq_state, encoding_states, planar_rotation, reduced_qubit
+from .discord import OptimizerSettings, _entropy_offset, conditional_entropy_grid
+from .discord import quantum_discord
+from .encoding import as_bloch, encoding_states, planar_rotation
 from .geodiscord import gd8_batch, geometric_discord
-from .linalg import vn_entropy
 from .optimize import refine_on_sphere, sphere_grid, sphere_point
 from .witness import witness_max_closed, witness_vectors
 
@@ -172,7 +172,7 @@ def refine_local(
 def witness_max_numeric(
     enc, grid_points: int = 50, tol: float = 1e-8, max_evals: int = 10_000
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Witness maximum by sphere scan plus golden-section refinement.
+    """Witness maximum by sphere scan plus compass refinement.
 
     Derivative-free cross-check of :func:`witness_max_closed`; not used on
     any hot path. Returns (t, m0, m1).
@@ -187,7 +187,7 @@ def witness_max_numeric(
         k = int(np.argmax(grid @ vy))
         i, j = divmod(k, grid_points)
         theta, phi, neg, _ = refine_on_sphere(
-            lambda t, p: -float(sphere_point(t, p) @ vy),
+            lambda t, p: -(sphere_point(t, p) @ vy),
             thetas[i],
             phis[j],
             dtheta=thetas[1] - thetas[0],
@@ -239,7 +239,7 @@ def sweep_preopt_plane(enc, steps: int = 512, fd_step: float = 1e-5) -> np.ndarr
     if steps < 2:
         raise ValueError("steps must be >= 2")
     bloch = as_bloch(enc)
-    offset = vn_entropy(reduced_qubit(bloch)) - vn_entropy(cq_state(bloch))
+    offset = _entropy_offset(bloch)
 
     def values(ts: np.ndarray) -> np.ndarray:
         dirs = np.stack([np.cos(ts), np.zeros_like(ts), np.sin(ts)], axis=-1)

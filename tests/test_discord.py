@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from qracdiscord.discord import (
@@ -23,6 +24,10 @@ X = np.array([1.0, 0.0, 0.0])
 
 IDENTICAL_OFFSETS = (0.0, -3 * math.pi / 4, -math.pi / 4, -math.pi / 2)
 
+# An encoding on which coordinate-wise line searches stall 1.5e-5 above
+# the minimum, in units of pi.
+STALL_ANGLES_PI = (1.719225, 1.324356, 1.939288, 1.947611, 1.172453, 0.865686)
+
 
 def random_encoding(rng):
     return encoding_states(rng.uniform(0, 2 * np.pi, 4), rng.uniform(0, 2 * np.pi, 2))
@@ -31,6 +36,21 @@ def random_encoding(rng):
 def random_direction(rng):
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)
+
+
+def fibonacci_directions(n):
+    """n nearly uniform unit vectors on the sphere (Fibonacci lattice)."""
+    k = np.arange(n) + 0.5
+    z = 1.0 - 2.0 * k / n
+    r = np.sqrt(1.0 - z * z)
+    azimuth = math.pi * (3.0 - math.sqrt(5.0)) * k
+    return np.stack([r * np.cos(azimuth), r * np.sin(azimuth), z], axis=-1)
+
+
+def dense_minimum(enc, dirs):
+    """Pre-optimisation discord minimised over a fixed direction set."""
+    k = int(np.argmin(conditional_entropy_grid(enc.bloch, dirs)))
+    return discord_pre_opt(enc, dirs[k])
 
 
 def rotation_matrix(rng):
@@ -202,6 +222,30 @@ def test_quantum_discord_rotation_invariant():
         # the rotated original minimiser attains the same value
         carried = discord_pre_opt(enc.bloch @ rot.T, rot @ direction)
         assert np.isclose(carried, value, atol=1e-8)
+
+
+def test_quantum_discord_below_dense_minimum_at_stall_point():
+    params = np.array(STALL_ANGLES_PI) * math.pi
+    enc = encoding_states(params[:4], params[4:])
+    value, _ = quantum_discord(enc)
+    dense = dense_minimum(enc, fibonacci_directions(400_000))
+    assert np.isclose(dense, 0.4534223, atol=1e-7)
+    assert value <= dense
+
+
+def test_quantum_discord_never_above_dense_minimum():
+    rng = np.random.default_rng(38)
+    dirs = fibonacci_directions(50_000)
+    for _ in range(50):
+        enc = random_encoding(rng)
+        value, direction = quantum_discord(enc)
+        assert value <= dense_minimum(enc, dirs) + 1e-12
+        assert abs(discord_pre_opt(enc, direction) - value) <= 1e-12
+
+
+def test_quantum_discord_rejects_nan():
+    with pytest.raises(ValueError, match="finite"):
+        quantum_discord(np.full((4, 3), np.nan))
 
 
 def test_quantum_discord_coarser_settings_still_bound():

@@ -109,6 +109,16 @@ def test_encoding_rejects_nonfinite():
         encoding_states((np.nan, 0, 0, 0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_as_bloch_rejects_nonfinite(bad):
+    bloch = np.array(planar_rotation(0.1).bloch)
+    bloch[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        as_bloch(bloch)
+    with pytest.raises(ValueError, match="finite"):
+        as_bloch(np.full((4, 3), bad))
+
+
 def test_cq_state_blocks_and_spectrum():
     rng = np.random.default_rng(13)
     for _ in range(20):

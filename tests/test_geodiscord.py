@@ -151,3 +151,8 @@ def test_gd8_batch_broadcasts():
     d = np.linspace(0, 2 * np.pi, 5)
     out = gd8_batch(d[:, None], d[None, :], 0.0, 0.0, 0.0, 0.0)
     assert out.shape == (5, 5)
+
+
+def test_geometric_discord_rejects_nan():
+    with pytest.raises(ValueError, match="finite"):
+        geometric_discord(np.full((4, 3), np.nan))

@@ -2,25 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qracdiscord.optimize import (
-    golden_section_min,
-    refine_on_sphere,
-    sphere_grid,
-    sphere_point,
-)
-
-
-def test_golden_section_quadratic():
-    x, fx, evals = golden_section_min(lambda t: (t - 2.0) ** 2, 1.0, 5.0, 1e-10)
-    assert abs(x - 2.0) <= 1e-9
-    assert fx <= 1e-18
-    assert evals < 100
-
-
-def test_golden_section_flat_returns_interior_point():
-    x, fx, _ = golden_section_min(lambda t: 1.0, 0.0, 1.0, 1e-8)
-    assert 0.0 <= x <= 1.0
-    assert fx == 1.0
+from qracdiscord.optimize import refine_on_sphere, sphere_grid, sphere_point
 
 
 def test_sphere_point_unit_norm():
@@ -42,7 +24,7 @@ def test_sphere_grid_order_and_shape():
 def test_refine_on_sphere_finds_direction():
     target = sphere_point(1.1, 2.3)
     theta, phi, val, _ = refine_on_sphere(
-        lambda t, p: -float(sphere_point(t, p) @ target),
+        lambda t, p: -(sphere_point(t, p) @ target),
         1.0,
         2.0,
         dtheta=0.25,
@@ -65,3 +47,33 @@ def test_refine_on_sphere_budget_exhaustion():
             tol=1e-12,
             max_evals=10,
         )
+
+
+def test_sphere_point_broadcasts():
+    thetas = np.array([0.3, 1.2, 2.9])
+    phis = np.array([5.0, 0.1, 2.2])
+    batch = sphere_point(thetas, phis)
+    assert batch.shape == (3, 3)
+    for row, t, p in zip(batch, thetas, phis):
+        assert_allclose(row, sphere_point(t, p), atol=0.0)
+
+
+def test_refine_on_sphere_never_above_start():
+    # A rugged objective on which a local search can go astray: the
+    # reported value is still the best seen, never worse than the start.
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        k = rng.normal(size=(3, 3))
+
+        def f(t, p):
+            d = sphere_point(t, p)
+            return np.sin(7.0 * d @ k[0]) + np.cos(5.0 * d @ k[1]) * (d @ k[2])
+
+        theta, phi = rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi)
+        start = float(f(np.array([theta]), np.array([phi]))[0])
+        t_best, p_best, val, evals = refine_on_sphere(
+            f, theta, phi, dtheta=0.5, dphi=0.5, tol=1e-9, max_evals=10_000
+        )
+        assert val <= start
+        assert abs(val - float(f(np.array([t_best]), np.array([p_best]))[0])) <= 1e-12
+        assert evals > 1
