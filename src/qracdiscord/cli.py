@@ -26,14 +26,10 @@ import numpy as np
 from .checks import CHECKS, run_checks
 from .discord import quantum_discord
 from .encoding import cq_state, encoding_states
-from .geodiscord import bloch_decompose, geometric_discord
+from .geodiscord import frame_operator, geometric_discord
 from .linalg import density_spectrum
 from .search import GridSpec, grid_search_gd, refine_local, sweep_planar, witness_max_numeric
 from .witness import success_probability, witness_max_closed
-
-# Local refinement schedule for `search --refine`: a coarser pass first,
-# then the fine pass; one fine-only pass can stall on a ridge.
-REFINE_STEPS = (math.pi * 1e-3, math.pi * 1e-4)
 
 
 class CliError(Exception):
@@ -132,7 +128,7 @@ def _cmd_eval(args, config) -> int:
     t_max, m0, m1 = witness_max_closed(enc)
     p_success = success_probability(enc, m0, m1)
     spectrum = density_spectrum(cq_state(enc))
-    gram_trace = float(np.trace(bloch_decompose(enc).gram))
+    gram_trace = float(np.trace(frame_operator(enc)))
 
     if fmt == "json":
         payload = {
@@ -163,7 +159,7 @@ def _cmd_eval(args, config) -> int:
         "  m1: (" + ", ".join(f"{v:.9g}" for v in m1) + ")",
         f"success probability: {p_success:.12g}",
         "joint spectrum:      " + ", ".join(f"{v:.6g}" for v in spectrum),
-        f"trace of G:          {gram_trace:.12g}",
+        f"trace of F:          {gram_trace:.12g}",
     ]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -210,9 +206,7 @@ def _cmd_search(args, config) -> int:
         "wall_seconds": time.perf_counter() - begun,
     }
     if refine:
-        refined = result
-        for fine_step in REFINE_STEPS:
-            refined = refine_local(refined.params, fine_step)
+        refined = refine_local(result.params, float(step))
         payload["refined_params"] = [float(v) for v in refined.params]
         payload["refined_params_pi"] = _to_pi(refined.params)
         payload["refined_gd8"] = refined.gd8

@@ -6,7 +6,8 @@ anchored at the range start; angles are periodic so the excluded endpoint
 is immaterial). Evaluation is vectorised in slabs over the first axis and
 optionally distributed over a process pool; the reduction is a maximum
 with a lexicographic tie-break on the lattice indices, so results are
-identical for any worker count.
+identical for any worker count. The local refinement is a compass search
+over all six angles, starting at the lattice step.
 """
 
 from __future__ import annotations
@@ -21,12 +22,16 @@ from .discord import OptimizerSettings, _entropy_offset, conditional_entropy_gri
 from .discord import quantum_discord
 from .encoding import as_bloch, encoding_states, planar_rotation
 from .geodiscord import gd8_batch, geometric_discord
-from .optimize import refine_on_sphere, sphere_grid, sphere_point
+from .optimize import compass_search, refine_on_sphere, sphere_grid, sphere_point
 from .witness import witness_max_closed, witness_vectors
 
 TWO_PI = 2.0 * math.pi
 
 GRID_CELL_GUARD = 1_000_000_000
+
+# Local refinement: final step (radians) and evaluation budget.
+REFINE_TOL = 1e-12
+REFINE_MAX_EVALS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -125,48 +130,24 @@ def grid_search_gd(spec: GridSpec, force: bool = False) -> SearchResult:
     return SearchResult(params=params, gd8=best_val, t_max=t_max, evaluations=cells)
 
 
-def refine_local(
-    start,
-    fine_step: float,
-    window: int = 50,
-    improve_tol: float = 1e-12,
-    max_cycles: int = 1000,
-) -> SearchResult:
-    """Cyclic coordinate ascent on 8 D_G around a six-angle starting point.
+def refine_local(start, step: float) -> SearchResult:
+    """Compass-search ascent on 8 D_G from a six-angle starting point.
 
-    Each pass scans every angle in turn over start +- window * fine_step
-    and moves to the best value; passes repeat until one yields less than
-    ``improve_tol`` total improvement. The value never decreases. Raises
-    RuntimeError if still improving after ``max_cycles`` passes.
+    Runs :func:`compass_search` on -8 D_G with every starting step equal
+    to ``step`` (the lattice step, for a search winner) down to
+    ``REFINE_TOL``. The value never decreases. Raises RuntimeError if the
+    search is still moving after ``REFINE_MAX_EVALS`` evaluations.
     """
-    if not fine_step > 0.0:
-        raise ValueError("fine_step must be positive")
-    cur = np.asarray(start, dtype=float).copy()
-    if cur.shape != (6,):
+    if not step > 0.0:
+        raise ValueError("step must be positive")
+    start = np.asarray(start, dtype=float)
+    if start.shape != (6,):
         raise ValueError("expected six angles")
-    offsets = fine_step * np.arange(-window, window + 1)
-    cur_val = float(gd8_batch(*cur))
-    evals = 1
-    converged = False
-    for _ in range(max_cycles):
-        gained = 0.0
-        for axis in range(6):
-            cand = np.tile(cur, (len(offsets), 1))
-            cand[:, axis] += offsets
-            vals = gd8_batch(*(cand[:, d] for d in range(6)))
-            evals += len(offsets)
-            k = int(np.argmax(vals))
-            if vals[k] > cur_val:
-                gained += float(vals[k]) - cur_val
-                cur_val = float(vals[k])
-                cur = cand[k]
-        if gained < improve_tol:
-            converged = True
-            break
-    if not converged:
-        raise RuntimeError(f"refinement still improving after {max_cycles} cycles")
-    t_max, _, _ = witness_max_closed(encoding_states(cur[:4], cur[4:]))
-    return SearchResult(params=cur, gd8=cur_val, t_max=t_max, evaluations=evals)
+    params, neg, evals = compass_search(
+        lambda p: -gd8_batch(*p.T), start, step, REFINE_TOL, REFINE_MAX_EVALS
+    )
+    t_max, _, _ = witness_max_closed(encoding_states(params[:4], params[4:]))
+    return SearchResult(params=params, gd8=-neg, t_max=t_max, evaluations=evals)
 
 
 def witness_max_numeric(

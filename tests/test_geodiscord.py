@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from qracdiscord.encoding import encoding_states, planar_rotation, state_kets
 from qracdiscord.geodiscord import (
     bloch_decompose,
+    frame_operator,
     gd8_batch,
     geometric_discord,
     planar_gd_closed,
@@ -53,6 +54,16 @@ def test_decomposition_matches_generator_definition():
         qubit = np.einsum("abcb->ac", rho.reshape(2, 4, 2, 4))
         for i in range(3):
             assert np.isclose(dec.x[i], np.trace(qubit @ PAULI[i]).real, atol=1e-12)
+
+
+def test_decomposition_gram_is_frame_operator():
+    # x x^t + T T^t / 2 = (1/4) B^t B: (1, 1, 1, 1)/2 and the normalised
+    # generator diagonals are an orthonormal basis of R^4
+    rng = np.random.default_rng(47)
+    for _ in range(200):
+        enc = random_encoding(rng)
+        assert_allclose(bloch_decompose(enc).gram, frame_operator(enc), rtol=0, atol=1e-15)
+        assert_allclose(frame_operator(enc), 0.25 * enc.bloch.T @ enc.bloch, rtol=0, atol=0)
 
 
 def test_geometric_discord_reference_values():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qracdiscord.optimize import refine_on_sphere, sphere_grid, sphere_point
+from qracdiscord.optimize import compass_search, refine_on_sphere, sphere_grid, sphere_point
 
 
 def test_sphere_point_unit_norm():
@@ -77,3 +77,25 @@ def test_refine_on_sphere_never_above_start():
         assert val <= start
         assert abs(val - float(f(np.array([t_best]), np.array([p_best]))[0])) <= 1e-12
         assert evals > 1
+
+
+def test_compass_search_six_dimensions_never_above_start():
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        k = rng.normal(size=(2, 6))
+
+        def f(x):
+            return np.sin(3.0 * x @ k[0]) + np.cos(x @ k[1]) * np.sin(x[:, 0])
+
+        start = rng.uniform(-2.0, 2.0, 6)
+        x, val, evals = compass_search(f, start, 0.5, 1e-6, 1_000_000)
+        assert x.shape == (6,)
+        assert val <= float(f(start[None, :])[0])
+        assert abs(val - float(f(x[None, :])[0])) <= 1e-12
+        assert evals > 1
+
+
+def test_compass_search_budget_exhaustion():
+    # a flat objective never improves: 1 + 728 evaluations fit, 1 + 2 * 728 do not
+    with pytest.raises(RuntimeError):
+        compass_search(lambda x: np.zeros(len(x)), np.zeros(6), 1.0, 1e-12, 1000)

@@ -79,14 +79,14 @@ def test_refine_local_monotone():
     for _ in range(5):
         start = rng.uniform(0, TWO_PI, 6)
         before = float(gd8_batch(*start))
-        res = refine_local(start, math.pi * 1e-3, window=10)
+        res = refine_local(start, math.pi / 10)
         assert res.gd8 >= before - 1e-15
 
 
 def test_refine_local_converged_point_is_fixed():
     start = np.array([1.40, 1.90, 0.30, 0.70, 0.60, 0.40]) * math.pi
-    first = refine_local(start, math.pi * 1e-4, window=10)
-    again = refine_local(first.params, math.pi * 1e-4, window=10)
+    first = refine_local(start, math.pi * 1e-4)
+    again = refine_local(first.params, math.pi * 1e-4)
     assert_allclose(again.params, first.params)
     assert again.gd8 == first.gd8
 
@@ -95,6 +95,16 @@ def test_refine_local_reaches_fine_reference():
     start = np.array([0.2509, 0.1980, 0.3909, 1.6089, 0.6928, 0.3079]) * math.pi
     res = refine_local(start, math.pi * 1e-4)
     assert res.gd8 >= 0.6649
+
+
+@pytest.mark.parametrize("delta2", [0.4, 0.9, 1.4, 1.9])
+def test_refine_local_from_equivalent_lattice_winners(delta2):
+    # delta_a -> delta_a + pi/2 flips r_a and leaves 8 D_G unchanged, so
+    # the step-pi/10 winner has equivalent lattice cells; which one wins
+    # is a floating-point tie. Every one must refine to near 2/3.
+    start = np.array([1.4, delta2, 0.3, 0.2, 1.4, 1.6]) * math.pi
+    assert np.isclose(gd8_batch(*start), 0.6090413131018753, atol=1e-12)
+    assert refine_local(start, math.pi / 10).gd8 >= 0.66
 
 
 def test_refine_local_validates_input():
