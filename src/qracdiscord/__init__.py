@@ -8,7 +8,6 @@ pure function of those six angles.
 
 from .discord import (
     ConditionalEnsemble,
-    OptimizerSettings,
     classical_correlation,
     conditional_ensemble,
     conditional_ensemble_dense,
@@ -52,7 +51,6 @@ __all__ = [
     "ConditionalEnsemble",
     "EncodingSet",
     "GridSpec",
-    "OptimizerSettings",
     "SearchResult",
     "SweepRecord",
     "bloch_decompose",

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discord import conditional_ensemble, conditional_ensemble_dense, conditional_entropy_grid
-from .discord import discord_pre_opt, quantum_discord
+from .discord import _entropy_offset, conditional_ensemble, conditional_ensemble_dense
+from .discord import conditional_entropy, conditional_entropy_grid, discord_pre_opt, quantum_discord
 from .encoding import bloch_batch, encoding_states, planar_rotation
 from .geodiscord import bloch_decompose, gd8_batch, geometric_discord, planar_gd_closed
+from .linalg import shannon_entropy
 from .optimize import sphere_grid
 from .search import GridSpec, grid_search_gd, refine_local, sweep_planar, sweep_preopt_plane
 from .witness import SIGN_TABLE, success_probability, witness_max_closed
@@ -50,15 +51,6 @@ class CheckResult:
     tolerance: str
     passed: bool
     seconds: float
-
-
-def _binary_entropy(p):
-    p = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
-    out = np.zeros_like(p)
-    for q in (p, 1.0 - p):
-        mask = q > 0.0
-        out[mask] -= q[mask] * np.log2(q[mask])
-    return out
 
 
 def _random_encodings(rng, n):
@@ -246,13 +238,12 @@ def check_random_bounds(workers=None):
     trace_err = float(np.abs(trace - 1.0).max())
 
     dirs = sphere_grid(np.linspace(0.0, math.pi, 13), np.linspace(0.0, 2.0 * math.pi, 13))
-    mi = _binary_entropy(0.5 * (1.0 + np.linalg.norm(x, axis=1)))
+    offset = _entropy_offset(bloch)  # mutual information - 2 for pure encodings
     qd_err = 0.0
     for lo in range(0, n, 5000):
         chunk = slice(lo, lo + 5000)
-        cond_min = conditional_entropy_grid(bloch[chunk], dirs).min(axis=1)
-        qd = mi[chunk] - 2.0 + cond_min
-        qd_err = max(qd_err, float((-qd).max()), float((qd - mi[chunk]).max()))
+        qd = offset[chunk] + conditional_entropy_grid(bloch[chunk], dirs).min(axis=1)
+        qd_err = max(qd_err, float((-qd).max()), float((qd - offset[chunk] - 2.0).max()))
 
     m0 = _random_directions(rng, n)
     m1 = _random_directions(rng, n)
@@ -280,9 +271,12 @@ def check_random_bounds(workers=None):
 
 
 def check_dense_oracle(workers=None):
-    """Bloch-arithmetic ensembles equal the dense 8x8 projector route."""
+    """Bloch-arithmetic ensembles equal the dense 8x8 projector route, and
+    the shipped conditional entropy equals p+ S(spec+) + p- S(spec-) from
+    the dense ensemble."""
     rng = np.random.default_rng(8128)
     worst = 0.0
+    entropy_worst = 0.0
     for _ in range(1000):
         delta = rng.uniform(0.0, 2.0 * math.pi, size=4)
         phi = rng.uniform(0.0, 2.0 * math.pi, size=2)
@@ -297,8 +291,17 @@ def check_dense_oracle(workers=None):
             float(np.abs(fast.spec_plus - dense.spec_plus).max()),
             float(np.abs(fast.spec_minus - dense.spec_minus).max()),
         )
-    passed = worst <= 1e-10
-    return ("fast path = dense path (1e3 pairs)", f"max|diff|={worst:.2e}", "1e-10", passed)
+        dense_entropy = dense.p_plus * shannon_entropy(dense.spec_plus) + (
+            dense.p_minus * shannon_entropy(dense.spec_minus)
+        )
+        entropy_worst = max(entropy_worst, abs(conditional_entropy(enc, a) - dense_entropy))
+    passed = worst <= 1e-10 and entropy_worst <= 1e-10
+    return (
+        "fast path = dense path (1e3 pairs), ensembles and conditional entropy",
+        f"max|diff|={worst:.2e}, max|entropy diff|={entropy_worst:.2e}",
+        "1e-10",
+        passed,
+    )
 
 
 def check_sweep_monotonic(workers=None):
@@ -322,7 +325,8 @@ def check_plane_curve(workers=None):
     v_quarter = discord_pre_opt(enc, np.array([SQRT2 / 2.0, 0.0, SQRT2 / 2.0]))
     v_three_quarter = discord_pre_opt(enc, np.array([-SQRT2 / 2.0, 0.0, SQRT2 / 2.0]))
     v_zero = discord_pre_opt(enc, np.array([1.0, 0.0, 0.0]))
-    oracle_zero = float(_binary_entropy((2.0 + SQRT2) / 4.0))
+    q = (2.0 + SQRT2) / 4.0
+    oracle_zero = -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
 
     curve = sweep_preopt_plane(enc, steps=2048)
     ts, dv = curve[:, 0], curve[:, 2]

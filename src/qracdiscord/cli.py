@@ -104,10 +104,6 @@ def _to_pi(values) -> list[float]:
     return [float(v) / math.pi for v in np.atleast_1d(values)]
 
 
-def _angles_json(values):
-    return {"radians": [float(v) for v in np.atleast_1d(values)], "pi": _to_pi(values)}
-
-
 def _params_from(args, config, command: str) -> np.ndarray:
     raw = _merge(args, config, "params")
     if raw is None:

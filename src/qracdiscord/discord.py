@@ -27,24 +27,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import as_bloch, cq_state, qubit_density
-from .linalg import ZERO_EIG, density_spectrum, partial_trace, shannon_entropy, vn_entropy
+from .linalg import ZERO_EIG, density_spectrum, partial_trace, vn_entropy
 from .optimize import refine_on_sphere, sphere_grid, sphere_point
 from .witness import unit_direction
 
 
-@dataclass(frozen=True)
-class OptimizerSettings:
-    """Controls for the measurement-sphere minimisation.
+# Measurement-sphere scan over the upper hemisphere, pole and equator
+# included: polar step pi/180 and azimuth step pi/45, which places the
+# in-plane minimisers of planar encodings (polar pi/4 at azimuth 0 or pi)
+# exactly on the lattice. Both grids start at 0, so their second points
+# are the steps.
+SCAN_THETAS = np.linspace(0.0, np.pi / 2.0, 91)
+SCAN_PHIS = np.linspace(0.0, 2.0 * np.pi, 91)
+SCAN_DIRS = sphere_grid(SCAN_THETAS, SCAN_PHIS)
 
-    The grid covers the upper hemisphere. The default has polar step
-    pi/180 and azimuth step pi/45, which places the in-plane minimisers of
-    planar encodings (polar pi/4 at azimuth 0 or pi) exactly on the lattice.
-    """
-
-    polar_points: int = 91     # over [0, pi/2], pole and equator included
-    azimuth_points: int = 91   # over [0, 2pi]
-    refine_tol: float = 1e-9   # terminal compass step, radians
-    max_refine_evals: int = 10_000
+# Compass refinement of the best scan point: final step (radians) and
+# evaluation budget.
+REFINE_TOL = 1e-9
+REFINE_MAX_EVALS = 10_000
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,7 @@ def _xlog2x(w: np.ndarray) -> np.ndarray:
     then chase.
     """
     w = np.maximum(w, 0.0)
-    out = np.zeros_like(w)
-    mask = w > 0.0
-    out[mask] = w[mask] * np.log2(w[mask])
-    return out
+    return w * np.log2(np.where(w > 0.0, w, 1.0))
 
 
 def _branch_spectrum(weights: np.ndarray, p: float) -> np.ndarray:
@@ -126,11 +123,9 @@ def conditional_ensemble_dense(enc, a) -> ConditionalEnsemble:
 
 
 def conditional_entropy(enc, a) -> float:
-    """Average register entropy after measuring along ``a``, in bits."""
-    ens = conditional_ensemble(enc, a)
-    return ens.p_plus * shannon_entropy(ens.spec_plus) + ens.p_minus * shannon_entropy(
-        ens.spec_minus
-    )
+    """Average register entropy after measuring along ``a``, in bits: a
+    batch of one of :func:`conditional_entropy_grid`."""
+    return float(conditional_entropy_grid(as_bloch(enc), unit_direction(a)[None, :])[0])
 
 
 def conditional_entropy_grid(bloch: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -149,48 +144,50 @@ def conditional_entropy_grid(bloch: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return ent + _xlog2x(p_plus) + _xlog2x(p_minus)
 
 
-def _entropy_offset(bloch: np.ndarray) -> float:
+def _entropy_offset(bloch: np.ndarray) -> np.ndarray:
     """S(qubit marginal) - S(joint), the direction-independent part.
 
     For pure encodings the joint spectrum is {1/4 x4, 0 x4}, so S(joint)
     is exactly 2 bits, and the qubit marginal has eigenvalues
-    (1 +- |rbar|)/2 with rbar the mean Bloch vector.
+    (1 +- |rbar|)/2 with rbar the mean Bloch vector. ``bloch`` has shape
+    (..., 4, 3); returns shape (...). |rbar|^2 is a matmul, which takes
+    the same dot product as np.linalg.norm of a single vector, so a batch
+    gives bitwise the values of one call per encoding.
     """
-    p = 0.5 * (1.0 + np.linalg.norm(bloch.mean(axis=0)))
-    return float(-_xlog2x(np.array([p, 1.0 - p])).sum()) - 2.0
+    rbar = bloch.mean(axis=-2)[..., None, :]
+    p = 0.5 * (1.0 + np.sqrt(rbar @ np.swapaxes(rbar, -1, -2))[..., 0, 0])
+    return -(_xlog2x(p) + _xlog2x(1.0 - p)) - 2.0
 
 
 def discord_pre_opt(enc, a) -> float:
     """Discord before optimisation, for a fixed measurement direction."""
     bloch = as_bloch(enc)
-    return _entropy_offset(bloch) + conditional_entropy(bloch, a)
+    return float(_entropy_offset(bloch)) + conditional_entropy(bloch, a)
 
 
-def quantum_discord(enc, settings: OptimizerSettings | None = None):
+def quantum_discord(enc):
     """Quantum discord and the minimising measurement direction.
 
     The conditional entropy is even in the direction, H(a) = H(-a), since
-    the two outcomes swap, so only the upper hemisphere is scanned (ties
-    resolve to the smallest angle pair in lexicographic order). The best
-    grid point is then polished by compass search. Returns (value, unit
+    the two outcomes swap, so only the upper hemisphere ``SCAN_DIRS`` is
+    scanned (ties resolve to the smallest angle pair in lexicographic
+    order). The best grid point is then polished by compass search from
+    the grid steps down to ``REFINE_TOL``. Returns (value, unit
     direction).
     """
-    opts = settings or OptimizerSettings()
     bloch = as_bloch(enc)
-    thetas = np.linspace(0.0, np.pi / 2.0, opts.polar_points)
-    phis = np.linspace(0.0, 2.0 * np.pi, opts.azimuth_points)
-    ent = conditional_entropy_grid(bloch, sphere_grid(thetas, phis))
-    i, j = divmod(int(np.argmin(ent)), len(phis))
+    ent = conditional_entropy_grid(bloch, SCAN_DIRS)
+    i, j = divmod(int(np.argmin(ent)), len(SCAN_PHIS))
     theta, phi, cond, _ = refine_on_sphere(
         lambda t, p: conditional_entropy_grid(bloch, sphere_point(t, p)),
-        thetas[i],
-        phis[j],
-        dtheta=thetas[1] - thetas[0] if len(thetas) > 1 else np.pi / 2,
-        dphi=phis[1] - phis[0] if len(phis) > 1 else np.pi / 2,
-        tol=opts.refine_tol,
-        max_evals=opts.max_refine_evals,
+        SCAN_THETAS[i],
+        SCAN_PHIS[j],
+        dtheta=SCAN_THETAS[1],
+        dphi=SCAN_PHIS[1],
+        tol=REFINE_TOL,
+        max_evals=REFINE_MAX_EVALS,
     )
-    return _entropy_offset(bloch) + cond, sphere_point(theta, phi)
+    return float(_entropy_offset(bloch)) + cond, sphere_point(theta, phi)
 
 
 def mutual_information(enc) -> float:
@@ -203,11 +200,11 @@ def mutual_information(enc) -> float:
     )
 
 
-def classical_correlation(enc, settings: OptimizerSettings | None = None) -> float:
+def classical_correlation(enc) -> float:
     """Classical correlation: register entropy minus minimised conditional
     entropy. Equals mutual_information - quantum_discord."""
     bloch = as_bloch(enc)
-    discord, _ = quantum_discord(bloch, settings)
-    min_cond = discord - _entropy_offset(bloch)
+    discord, _ = quantum_discord(bloch)
+    min_cond = discord - float(_entropy_offset(bloch))
     register_entropy = vn_entropy(partial_trace(cq_state(bloch), (4, 2), keep=0))
     return register_entropy - min_cond

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discord import OptimizerSettings, _entropy_offset, conditional_entropy_grid
-from .discord import quantum_discord
+from .discord import _entropy_offset, conditional_entropy_grid, quantum_discord
 from .encoding import as_bloch, encoding_states, planar_rotation
 from .geodiscord import gd8_batch, geometric_discord
 from .optimize import compass_search, refine_on_sphere, sphere_grid, sphere_point
@@ -135,8 +134,10 @@ def refine_local(start, step: float) -> SearchResult:
 
     Runs :func:`compass_search` on -8 D_G with every starting step equal
     to ``step`` (the lattice step, for a search winner) down to
-    ``REFINE_TOL``. The value never decreases. Raises RuntimeError if the
-    search is still moving after ``REFINE_MAX_EVALS`` evaluations.
+    ``REFINE_TOL``. The value never decreases. The step never grows past
+    ``step``, so a small ``step`` far from a maximum cannot travel far:
+    the search then raises RuntimeError once it is still moving after
+    ``REFINE_MAX_EVALS`` evaluations. Start at the lattice step.
     """
     if not step > 0.0:
         raise ValueError("step must be positive")
@@ -181,9 +182,7 @@ def witness_max_numeric(
     return 0.5 * total, dirs[0], dirs[1]
 
 
-def sweep_planar(
-    start: float, stop: float, steps: int, settings: OptimizerSettings | None = None
-) -> list[SweepRecord]:
+def sweep_planar(start: float, stop: float, steps: int) -> list[SweepRecord]:
     """Symmetric-rotation sweep of discord, 8 D_G and the witness excess.
 
     The witness column is the closed-form maximum re-optimised at every
@@ -196,7 +195,7 @@ def sweep_planar(
     records = []
     for delta in np.linspace(start, stop, steps):
         enc = planar_rotation(delta)
-        qd, _ = quantum_discord(enc, settings)
+        qd, _ = quantum_discord(enc)
         t_max, _, _ = witness_max_closed(enc)
         records.append(
             SweepRecord(

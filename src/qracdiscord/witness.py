@@ -69,12 +69,9 @@ def witness_vectors(enc) -> np.ndarray:
 
 
 def witness_value(enc, m0, m1) -> float:
-    """Witness T for a fixed measurement pair."""
-    bloch = as_bloch(enc)
-    t = 0.0
-    for y, m in enumerate((unit_direction(m0), unit_direction(m1))):
-        t += float(SIGN_TABLE[:, y] @ (0.5 * (1.0 + bloch @ m)))
-    return t
+    """Witness T = (v0 . m0 + v1 . m1) / 2 for a fixed measurement pair."""
+    v = witness_vectors(enc)
+    return 0.5 * float(v[0] @ unit_direction(m0) + v[1] @ unit_direction(m1))
 
 
 def witness_max_closed(enc) -> tuple[float, np.ndarray, np.ndarray]:
